@@ -13,7 +13,6 @@ use crate::request::UpdateRequest;
 use crate::scheduler::{buau, puu, puu_views, suu, RequestView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::response::{best_route_set, better_routes, BestResponse, ProfitView};
@@ -25,64 +24,6 @@ use vcs_obs::{elapsed_nanos, Event, Obs, ResponseKind, SpanKind};
 /// threads only pays off for the huge convergence-from-cold passes (first
 /// slot at 10⁵ users, epoch re-convergence after bulk churn).
 const PAR_REFRESH_MIN: usize = 4096;
-
-/// Per-user cache of PUU affected-task sets `B_i = L_{s_i} ∪ L_{s'}`, keyed
-/// by candidate route and implicitly by the user's current route.
-///
-/// A row stays valid as long as the user's current route is unchanged — and
-/// the current route only changes through the user's own move, which marks it
-/// dirty — so the engine driver invalidates exactly the rows of drained dirty
-/// users and reuses every other buffer across slots. This is what keeps MUUN
-/// slots from re-materializing full [`UpdateRequest`]s (union allocation per
-/// improving user per slot).
-struct AffectedCache {
-    rows: Vec<Vec<Option<Box<[TaskId]>>>>,
-}
-
-impl AffectedCache {
-    fn new(game: &Game) -> Self {
-        Self {
-            rows: game
-                .users()
-                .iter()
-                .map(|u| vec![None; u.routes.len()])
-                .collect(),
-        }
-    }
-
-    /// Drops every cached set of `user` (its current route may have changed).
-    fn invalidate(&mut self, user: UserId) {
-        for entry in &mut self.rows[user.index()] {
-            *entry = None;
-        }
-    }
-
-    /// Builds the `B_i` buffer for `user` switching to `candidate` if it is
-    /// not already cached (same union-sort-dedup as [`UpdateRequest::build`]).
-    fn ensure(&mut self, game: &Game, profile: &Profile, user: UserId, candidate: RouteId) {
-        let slot = &mut self.rows[user.index()][candidate.index()];
-        if slot.is_none() {
-            let u = &game.users()[user.index()];
-            let current = &u.routes[profile.choice(user).index()];
-            let next = &u.routes[candidate.index()];
-            let mut affected: Vec<TaskId> = current
-                .tasks
-                .iter()
-                .chain(next.tasks.iter())
-                .copied()
-                .collect();
-            affected.sort_unstable();
-            affected.dedup();
-            *slot = Some(affected.into_boxed_slice());
-        }
-    }
-
-    fn get(&self, user: UserId, candidate: RouteId) -> &[TaskId] {
-        self.rows[user.index()][candidate.index()]
-            .as_deref()
-            .expect("ensured before use")
-    }
-}
 
 /// The five distributed algorithms evaluated in §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -334,20 +275,11 @@ pub fn run_distributed_from_observed(
                     })
                     .collect();
             }
-            // A would-be update request, before the full `UpdateRequest`
-            // (with its allocated affected-task set) is materialized. SUU
-            // only consumes the request *count* and BUAU only `τ = gain/α`,
-            // so for DGRN/BRUN/BUAU no `UpdateRequest` is ever built; PUU's
-            // conflict graph (MUUN) reads the affected-task sets from a
-            // per-user cache reused across slots.
-            struct Pick {
-                user: UserId,
-                route: RouteId,
-                gain: f64,
-            }
             let mut picks: Vec<Pick> = Vec::new();
-            let mut affected_cache =
-                (algorithm == DistributedAlgorithm::Muun).then(|| AffectedCache::new(game));
+            // MUUN's affected-task buffers, recycled across slots (see
+            // `puu_grant`).
+            let mut affected: Vec<TaskId> = Vec::new();
+            let mut bounds: Vec<usize> = Vec::new();
             // The improving set, maintained as a flag array plus a sorted
             // index list so the request-collection pass iterates only users
             // that can actually improve instead of scanning all `m` caches
@@ -381,43 +313,19 @@ pub fn run_distributed_from_observed(
                 engine.take_dirty_into(&mut drained);
                 let scans = drained.len() as u32;
                 let mut improving_now = 0u32;
-                // Recompute the drained users' responses. Large passes (cold
-                // start, post-churn re-convergence) fan out over the rayon
-                // pool — the scans are read-only against the engine slabs
-                // and the results are collected in index order, so the
-                // assignment below is deterministic; small passes stay on
-                // the calling thread.
-                let parallel = drained.len() >= PAR_REFRESH_MIN && rayon::current_num_threads() > 1;
+                // Recompute the drained users' responses in place. Large
+                // passes (cold start, post-churn re-convergence) fan out over
+                // worker threads; the scans are read-only against the engine
+                // slabs and each writes only its own user's cache entry, so
+                // the result is the same as the sequential loop.
                 if brun {
-                    if parallel {
-                        let eng = &engine;
-                        let dr = &drained;
-                        let results: Vec<Vec<(RouteId, f64)>> = (0..dr.len())
-                            .into_par_iter()
-                            .map(|j| eng.better_routes(dr[j]))
-                            .collect();
-                        for (j, better) in results.into_iter().enumerate() {
-                            better_cache[drained[j].index()] = better;
-                        }
-                    } else {
-                        for &user in &drained {
-                            better_cache[user.index()] = engine.better_routes(user);
-                        }
-                    }
-                } else if parallel {
-                    let eng = &engine;
-                    let dr = &drained;
-                    let results: Vec<BestResponse> = (0..dr.len())
-                        .into_par_iter()
-                        .map(|j| eng.best_route_set(dr[j]))
-                        .collect();
-                    for (j, response) in results.into_iter().enumerate() {
-                        best_cache[drained[j].index()] = response;
-                    }
+                    refresh_in_place(&drained, &mut better_cache, |user, slot| {
+                        *slot = engine.better_routes(user);
+                    });
                 } else {
-                    for &user in &drained {
-                        engine.best_route_set_into(user, &mut best_cache[user.index()]);
-                    }
+                    refresh_in_place(&drained, &mut best_cache, |user, slot| {
+                        engine.best_route_set_into(user, slot);
+                    });
                 }
                 changed.clear();
                 for &user in &drained {
@@ -431,9 +339,6 @@ pub fn run_distributed_from_observed(
                     if now != improving_flag[i] {
                         improving_flag[i] = now;
                         changed.push(i as u32);
-                    }
-                    if let Some(cache) = &mut affected_cache {
-                        cache.invalidate(user);
                     }
                 }
                 // Fold the flag flips into the sorted improving list:
@@ -478,28 +383,33 @@ pub fn run_distributed_from_observed(
                         improving: improving_now,
                     });
                 }
-                picks.clear();
-                for &iu in &improving {
-                    let user = UserId::from_index(iu as usize);
-                    if brun {
-                        let &(route, gain) = pick(&better_cache[iu as usize], rng)
-                            .expect("flagged improving ⇒ non-empty better list");
-                        picks.push(Pick { user, route, gain });
-                    } else {
-                        let response = &best_cache[iu as usize];
-                        let &route = pick(&response.best_routes, rng)
-                            .expect("flagged improving ⇒ non-empty best set");
-                        picks.push(Pick {
-                            user,
-                            route,
-                            gain: response.gain,
-                        });
-                    }
+                if brun {
+                    draw_picks(&improving, rng, &mut picks, |i| better_cache[i].len());
+                } else {
+                    draw_picks(&improving, rng, &mut picks, |i| {
+                        best_cache[i].best_routes.len()
+                    });
                 }
                 if picks.is_empty() {
                     converged = true;
                     break; // Alg. 2 line 11: no request ⇒ terminate.
                 }
+                let route_of = |p: &Pick| {
+                    let (i, d) = (p.user.index(), p.draw as usize);
+                    if brun {
+                        better_cache[i][d].0
+                    } else {
+                        best_cache[i].best_routes[d]
+                    }
+                };
+                let gain_of = |p: &Pick| {
+                    let (i, d) = (p.user.index(), p.draw as usize);
+                    if brun {
+                        better_cache[i][d].1
+                    } else {
+                        best_cache[i].gain
+                    }
+                };
                 // Grant exactly as the schedulers over the full request list
                 // would: `suu` draws one uniform index; `buau` takes the
                 // *last* maximum of `τ` under `total_cmp` (`Iterator::max_by`
@@ -509,13 +419,13 @@ pub fn run_distributed_from_observed(
                 let updated = match algorithm {
                     DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun => {
                         let g = &picks[rng.random_range(0..picks.len())];
-                        engine.apply_move(g.user, g.route);
+                        engine.apply_move(g.user, route_of(g));
                         updates += 1;
-                        min_improvement = min_improvement.min(g.gain);
+                        min_improvement = min_improvement.min(gain_of(g));
                         1
                     }
                     DistributedAlgorithm::Buau => {
-                        let tau = |p: &Pick| p.gain / engine.alpha_of(p.user);
+                        let tau = |p: &Pick| gain_of(p) / engine.alpha_of(p.user);
                         let mut best = 0usize;
                         let mut best_tau = tau(&picks[0]);
                         for (i, p) in picks.iter().enumerate().skip(1) {
@@ -526,35 +436,21 @@ pub fn run_distributed_from_observed(
                             }
                         }
                         let g = &picks[best];
-                        engine.apply_move(g.user, g.route);
+                        engine.apply_move(g.user, route_of(g));
                         updates += 1;
-                        min_improvement = min_improvement.min(g.gain);
+                        min_improvement = min_improvement.min(gain_of(g));
                         1
                     }
                     DistributedAlgorithm::Muun => {
-                        // Same τ and B_i as `UpdateRequest::build`, but B_i
-                        // comes from the cross-slot cache: only users that
-                        // turned up dirty since their last request rebuild it.
-                        let cache = affected_cache.as_mut().expect("built for MUUN");
-                        for p in &picks {
-                            cache.ensure(game, engine.profile(), p.user, p.route);
-                        }
-                        let views: Vec<RequestView<'_>> = picks
-                            .iter()
-                            .map(|p| RequestView {
-                                user: p.user,
-                                tau: p.gain / engine.alpha_of(p.user),
-                                affected: cache.get(p.user, p.route),
-                            })
-                            .collect();
-                        let granted = puu_views(&views);
+                        let granted =
+                            puu_grant(&engine, &picks, &best_cache, &mut affected, &mut bounds);
                         debug_assert!(!granted.is_empty());
                         batch.clear();
                         for &g in &granted {
                             let p = &picks[g];
-                            batch.push((p.user, p.route));
+                            batch.push((p.user, route_of(p)));
                             updates += 1;
-                            min_improvement = min_improvement.min(p.gain);
+                            min_improvement = min_improvement.min(gain_of(p));
                         }
                         // PUU granted a pairwise conflict-free set (Theorem
                         // 3), so the engine may compute the per-move deltas
@@ -730,6 +626,145 @@ pub fn run_distributed_from_naive(
         user_profit_trace,
         min_improvement,
     }
+}
+
+/// A would-be update request, before the full `UpdateRequest` (with its
+/// allocated affected-task set) is materialized: the user and the index it
+/// drew into its cached response list. SUU only consumes the request
+/// *count* and BUAU only `τ = gain/α`, so for DGRN/BRUN/BUAU no
+/// `UpdateRequest` is ever built; MUUN's PUU conflict graph reads the
+/// affected-task sets from one flat buffer rebuilt per slot.
+struct Pick {
+    user: UserId,
+    /// Index into the user's response list, which holds at most one entry
+    /// per route, so it fits a `u32` as a `RouteId` does.
+    draw: u32,
+}
+
+/// Refills `picks` with one request per improving user, in ascending id
+/// order, each drawing the index [`pick`] would draw into its response list
+/// of length `len_of(user)`; the lists themselves are read back only for
+/// the requests a scheduler looks at. The draws advance a local copy of the
+/// generator, so its state stays in registers across this per-slot loop.
+fn draw_picks(
+    improving: &[u32],
+    rng: &mut StdRng,
+    picks: &mut Vec<Pick>,
+    len_of: impl Fn(usize) -> usize,
+) {
+    let mut draws = rng.clone();
+    picks.clear();
+    picks.extend(improving.iter().map(|&iu| Pick {
+        user: UserId::from_index(iu as usize),
+        draw: draws.random_range(0..len_of(iu as usize)) as u32,
+    }));
+    *rng = draws;
+}
+
+/// PUU over one slot's MUUN picks: writes each pick's
+/// `B_i = L_{s_i} ∪ L_{s'}` into the flat buffer `affected` (pick j's set
+/// is `affected[bounds[j]..bounds[j + 1]]`), prices `τ = gain/α` as
+/// [`UpdateRequest::build`] does, and returns the admitted pick indices.
+fn puu_grant(
+    engine: &Engine,
+    picks: &[Pick],
+    best_cache: &[BestResponse],
+    affected: &mut Vec<TaskId>,
+    bounds: &mut Vec<usize>,
+) -> Vec<usize> {
+    affected.clear();
+    bounds.clear();
+    bounds.push(0);
+    for p in picks {
+        let current = engine.profile().choice(p.user);
+        let next = best_cache[p.user.index()].best_routes[p.draw as usize];
+        push_union(
+            affected,
+            engine.route_task_list(p.user, current),
+            engine.route_task_list(p.user, next),
+        );
+        bounds.push(affected.len());
+    }
+    let views: Vec<RequestView<'_>> = picks
+        .iter()
+        .zip(bounds.windows(2))
+        .map(|(p, b)| RequestView {
+            user: p.user,
+            tau: best_cache[p.user.index()].gain / engine.alpha_of(p.user),
+            affected: &affected[b[0]..b[1]],
+        })
+        .collect();
+    puu_views(&views)
+}
+
+/// Appends `a ∪ b`, sorted and deduplicated, to `out` (the affected-task
+/// set `B_i` of [`UpdateRequest::build`], leaving `out`'s earlier entries
+/// untouched).
+fn push_union(out: &mut Vec<TaskId>, a: &[TaskId], b: &[TaskId]) {
+    let start = out.len();
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for k in start..out.len() {
+        if kept == start || out[k] != out[kept - 1] {
+            out[kept] = out[k];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// Runs `refresh(user, &mut cache[user])` for every user of `drained`, a
+/// sorted list of distinct user ids. A pass of at least [`PAR_REFRESH_MIN`]
+/// users is split into one contiguous chunk per worker thread: since the
+/// drain is sorted, chunk `j` covers one contiguous user-id range, so each
+/// worker gets a disjoint `split_at_mut` range of the cache to fill in place.
+fn refresh_in_place<T: Send>(
+    drained: &[UserId],
+    cache: &mut [T],
+    refresh: impl Fn(UserId, &mut T) + Sync,
+) {
+    // Small passes never ask for the worker count: without a pinned width
+    // that query is a syscall, too slow to pay on every DGRN slot.
+    let workers = if drained.len() < PAR_REFRESH_MIN {
+        1
+    } else {
+        rayon::current_num_threads()
+    };
+    if workers <= 1 {
+        for &user in drained {
+            refresh(user, &mut cache[user.index()]);
+        }
+        return;
+    }
+    // `range[0]` is the cache entry of user `first`.
+    let fill = |users: &[UserId], range: &mut [T], first: usize| {
+        for &user in users {
+            refresh(user, &mut range[user.index() - first]);
+        }
+    };
+    let fill = &fill;
+    let chunk = drained.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let mut rest = cache;
+        let mut first = 0;
+        let mut chunks = drained.chunks(chunk).peekable();
+        while let Some(users) = chunks.next() {
+            // Entries up to the next chunk's first user belong to this
+            // chunk; the last chunk, run on the calling thread, takes the
+            // remainder.
+            let Some(next) = chunks.peek() else {
+                fill(users, rest, first);
+                break;
+            };
+            let end = next[0].index();
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(end - first);
+            rest = tail;
+            scope.spawn(move || fill(users, range, first));
+            first = end;
+        }
+    });
 }
 
 /// Uniformly random element of a slice, or `None` for an empty slice.

@@ -1,6 +1,6 @@
 //! Platform-side user-update schedulers: SUU and PUU (Algorithm 3).
 
-use crate::request::{tasks_intersect, UpdateRequest};
+use crate::request::UpdateRequest;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use vcs_core::ids::{TaskId, UserId};
@@ -45,7 +45,8 @@ pub struct RequestView<'a> {
 /// whose affected task set `B_i` is disjoint from all already admitted ones.
 /// Requests with empty `B_i` (pure cost moves) never conflict and sort first.
 ///
-/// Returns indices into `requests` of the admitted set `µ`.
+/// Returns indices into `requests` of the admitted set `µ`, in admission
+/// order. Costs `O(n log n + Σ|B_i|)`; see [`puu_views`].
 pub fn puu(requests: &[UpdateRequest]) -> Vec<usize> {
     let views: Vec<RequestView<'_>> = requests
         .iter()
@@ -61,6 +62,13 @@ pub fn puu(requests: &[UpdateRequest]) -> Vec<usize> {
 /// Allocation-free core of [`puu`], operating on borrowed request views.
 /// Identical ordering (δ non-ascending, ties broken by lower user id) and
 /// identical admitted sets to the owned variant.
+///
+/// Admission keeps one claimed mark per task instead of testing each
+/// candidate against every admitted request: a candidate's `B_i` meets some
+/// admitted `B_j` exactly when one of its tasks is already claimed, so
+/// "admit if no task of `B_i` is claimed, then claim them" admits the same
+/// requests in the same order as the pairwise greedy of Theorem 3. The cost
+/// is `O(n log n)` for the sort plus `O(Σ|B_i|)` for the scan.
 pub fn puu_views(requests: &[RequestView<'_>]) -> Vec<usize> {
     let delta = |r: &RequestView<'_>| {
         if r.affected.is_empty() {
@@ -69,20 +77,33 @@ pub fn puu_views(requests: &[RequestView<'_>]) -> Vec<usize> {
             r.tau / r.affected.len() as f64
         }
     };
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by(|&a, &b| {
-        delta(&requests[b])
-            .total_cmp(&delta(&requests[a]))
+    // Sort keys are computed once; the index as the last key makes the
+    // unstable sort reproduce the stable order on (δ, user) ties.
+    let mut order: Vec<(f64, UserId, usize)> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (delta(r), r.user, i))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        b.0.total_cmp(&a.0)
             // Deterministic tie-break on user id.
-            .then_with(|| requests[a].user.cmp(&requests[b].user))
+            .then(a.1.cmp(&b.1))
+            .then(a.2.cmp(&b.2))
     });
+    let tasks = requests
+        .iter()
+        .flat_map(|r| r.affected)
+        .map(|t| t.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut claimed = vec![false; tasks];
     let mut admitted: Vec<usize> = Vec::new();
-    for idx in order {
-        let candidate = &requests[idx];
-        if admitted
-            .iter()
-            .all(|&a| !tasks_intersect(requests[a].affected, candidate.affected))
-        {
+    for (_, _, idx) in order {
+        let affected = requests[idx].affected;
+        if affected.iter().all(|t| !claimed[t.index()]) {
+            for t in affected {
+                claimed[t.index()] = true;
+            }
             admitted.push(idx);
         }
     }

@@ -13,8 +13,12 @@ use vcs_core::{Game, PlatformParams, Route, Task, User, UserPrefs};
 
 /// A fixed random-ish game: `n_users` users, 15 tasks, up to 4 routes each.
 fn scenario_game(seed: u64, n_users: u32) -> Game {
+    city_game(seed, n_users, 15)
+}
+
+/// [`scenario_game`] with `n_tasks` tasks.
+fn city_game(seed: u64, n_users: u32, n_tasks: u32) -> Game {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_tasks = 15u32;
     let tasks: Vec<Task> = (0..n_tasks)
         .map(|k| {
             Task::new(
@@ -59,6 +63,18 @@ fn scenario_game(seed: u64, n_users: u32) -> Game {
 /// Asserts the engine run equals the naive run: everything identical except
 /// the slot-trace floats, which must agree within `1e-9`.
 fn assert_equivalent(game: &Game, algorithm: DistributedAlgorithm, config: &RunConfig) {
+    assert_equivalent_within(game, algorithm, config, 0.0);
+}
+
+/// [`assert_equivalent`] with the slot-trace floats allowed to differ by
+/// `1e-9 + rel·|naive value|`. The naive driver re-sums ϕ and total profit
+/// from scratch every slot, so its own rounding grows with their magnitude.
+fn assert_equivalent_within(
+    game: &Game,
+    algorithm: DistributedAlgorithm,
+    config: &RunConfig,
+    rel: f64,
+) {
     let fast = run_distributed(game, algorithm, config);
     let naive = run_distributed_naive(game, algorithm, config);
     let tag = format!("{} seed {}", algorithm.name(), config.seed);
@@ -84,13 +100,13 @@ fn assert_equivalent(game: &Game, algorithm: DistributedAlgorithm, config: &RunC
             "{tag}: updated_users at slot {t}"
         );
         assert!(
-            (f.potential - n.potential).abs() < 1e-9,
+            (f.potential - n.potential).abs() < 1e-9 + rel * n.potential.abs(),
             "{tag}: potential at slot {t}: engine {} vs naive {}",
             f.potential,
             n.potential
         );
         assert!(
-            (f.total_profit - n.total_profit).abs() < 1e-9,
+            (f.total_profit - n.total_profit).abs() < 1e-9 + rel * n.total_profit.abs(),
             "{tag}: total profit at slot {t}: engine {} vs naive {}",
             f.total_profit,
             n.total_profit
@@ -152,5 +168,27 @@ fn equivalence_under_slot_cap() {
         let mut config = RunConfig::with_seed(8);
         config.max_slots = 3;
         assert_equivalent(&game, algorithm, &config);
+    }
+}
+
+#[test]
+fn equivalence_holds_at_city_scale() {
+    // Thousands of users over as many tasks: the first refresh pass drains
+    // every user, enough for the chunked parallel refresh, and MUUN grants
+    // batches of hundreds. The parallel pass needs a second worker, so pin
+    // one if the machine reports a single core; results do not depend on
+    // the width. ϕ here is ~1e5, where the naive driver's from-scratch
+    // sums round at ~1e-9, so the float bound is relative.
+    if rayon::current_num_threads() < 2 {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build_global()
+            .expect("pin two workers");
+    }
+    let game = city_game(21, 6000, 6000);
+    for algorithm in [DistributedAlgorithm::Dgrn, DistributedAlgorithm::Muun] {
+        let mut config = RunConfig::with_seed(5);
+        config.max_slots = 6;
+        assert_equivalent_within(&game, algorithm, &config, 1e-12);
     }
 }

@@ -2,6 +2,7 @@
 //! guarantee on random request sets.
 
 use proptest::prelude::*;
+use vcs_algorithms::request::tasks_intersect;
 use vcs_algorithms::{optimal_selection, puu, suu, theorem3_bound, UpdateRequest};
 use vcs_core::ids::{RouteId, TaskId, UserId};
 
@@ -22,6 +23,67 @@ fn arb_requests() -> impl Strategy<Value = Vec<UpdateRequest>> {
             })
             .collect()
     })
+}
+
+/// Request sets built to stress the admission scan rather than Theorem 3:
+/// τ and |B_i| from small grids so δ ties are common (user ids are handed
+/// out in reverse so the id tie-break disagrees with input order), empty
+/// `B_i`, up to 60 requests crowding a few shared tasks, and task ids drawn
+/// sparsely from a large range.
+fn arb_adversarial_requests() -> impl Strategy<Value = Vec<UpdateRequest>> {
+    const SPARSE: [u32; 4] = [7, 1_000, 65_535, 199_999];
+    const TAUS: [f64; 4] = [0.5, 1.0, 2.0, 3.0];
+    let task = prop_oneof![0u32..4, (0usize..4).prop_map(|i| SPARSE[i])];
+    prop::collection::vec(
+        (
+            (0usize..4).prop_map(|i| TAUS[i]),
+            prop::collection::btree_set(task, 0..4),
+        ),
+        1..60,
+    )
+    .prop_map(|raw| {
+        let n = raw.len() as u32;
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (tau, tasks))| UpdateRequest {
+                user: UserId(n - i as u32),
+                new_route: RouteId(0),
+                gain: tau * 0.5,
+                tau,
+                affected_tasks: tasks.into_iter().map(TaskId).collect(),
+            })
+            .collect()
+    })
+}
+
+/// The pairwise PUU greedy `puu` used before claimed-task marks: the same
+/// sort, then each candidate is tested against every admitted request.
+/// Kept here as the oracle for the claimed-mark scan.
+fn pairwise_puu(requests: &[UpdateRequest]) -> Vec<usize> {
+    let delta = |r: &UpdateRequest| {
+        if r.affected_tasks.is_empty() {
+            f64::INFINITY
+        } else {
+            r.tau / r.affected_tasks.len() as f64
+        }
+    };
+    let mut order: Vec<usize> = (0..requests.len()).collect();
+    order.sort_by(|&a, &b| {
+        delta(&requests[b])
+            .total_cmp(&delta(&requests[a]))
+            .then_with(|| requests[a].user.cmp(&requests[b].user))
+    });
+    let mut admitted: Vec<usize> = Vec::new();
+    for idx in order {
+        let candidate = &requests[idx];
+        if admitted
+            .iter()
+            .all(|&a| !tasks_intersect(&requests[a].affected_tasks, &candidate.affected_tasks))
+        {
+            admitted.push(idx);
+        }
+    }
+    admitted
 }
 
 proptest! {
@@ -72,6 +134,20 @@ proptest! {
         }
         // Greedy can never beat the optimum.
         prop_assert!(tau <= tau_hat + 1e-9);
+    }
+
+    /// Claimed-task admission returns exactly the pairwise greedy's
+    /// indices, in the same order, on Theorem 3-sized inputs.
+    #[test]
+    fn puu_matches_pairwise_greedy(requests in arb_requests()) {
+        prop_assert_eq!(puu(&requests), pairwise_puu(&requests));
+    }
+
+    /// The same identity on δ ties, empty `B_i`, crowded shared tasks and
+    /// sparse large task ids.
+    #[test]
+    fn puu_matches_pairwise_greedy_adversarial(requests in arb_adversarial_requests()) {
+        prop_assert_eq!(puu(&requests), pairwise_puu(&requests));
     }
 
     /// SUU picks exactly one valid index, uniformly seeded.

@@ -619,8 +619,8 @@ pub fn compare(current: &Trajectory, baseline: &Trajectory, tolerance: f64) -> V
     regressions
 }
 
-/// Absolute speedup floors, enforced on the **current** trajectory
-/// independently of any baseline. Two rules:
+/// Absolute floors, enforced on the **current** trajectory independently
+/// of any baseline:
 ///
 /// * every `engine/MUUN/<users>/speedup` ≥ 1.0 — the engine must never be
 ///   slower than the naive driver it replaces (MUUN is the only algorithm
@@ -640,7 +640,14 @@ pub fn compare(current: &Trajectory, baseline: &Trajectory, tolerance: f64) -> V
 /// * every `load/<rate>/<shards>/served_ratio` ≥ 0.90 — under sustained
 ///   open-loop load the serving process must answer at least 90% of
 ///   offered requests with non-rejected replies; latency may drift with
-///   the machine, but dropped or rejected requests are a serving bug.
+///   the machine, but dropped or rejected requests are a serving bug;
+/// * `engine/MUUN/100000/engine_slots_per_sec` ≥ 2.0 — MUUN's capped
+///   cold-start run at city scale must sustain an absolute slot rate. The
+///   metric stays informational (the relative gate never applies to a raw
+///   rate that swings with the host), but the floor sits an order of
+///   magnitude below the measured 10–21 slots/s and an order above the
+///   0.2 slots/s of the pairwise PUU admission it replaced, so host drift
+///   does not trip it and a return of the quadratic greedy does.
 ///
 /// Violations reuse [`Regression`] with the floor as the `baseline`.
 pub fn floor_violations(current: &Trajectory) -> Vec<Regression> {
@@ -649,9 +656,13 @@ pub fn floor_violations(current: &Trajectory) -> Vec<Regression> {
     const NET_FLOOR: f64 = 1.0;
     const FLEET_FLOOR: f64 = 0.95;
     const LOAD_FLOOR: f64 = 0.90;
+    const MUUN_RATE_FLOOR: f64 = 2.0;
     const SHARD_METRIC: &str = "shard/100000/4/agg_speedup";
+    const MUUN_RATE_METRIC: &str = "engine/MUUN/100000/engine_slots_per_sec";
     let floor_of = |metric: &str| -> Option<f64> {
-        if metric.starts_with("engine/MUUN/") && metric.ends_with("/speedup") {
+        if metric == MUUN_RATE_METRIC {
+            Some(MUUN_RATE_FLOOR)
+        } else if metric.starts_with("engine/MUUN/") && metric.ends_with("/speedup") {
             Some(MUUN_FLOOR)
         } else if metric == SHARD_METRIC {
             Some(SHARD_FLOOR)
@@ -668,6 +679,7 @@ pub fn floor_violations(current: &Trajectory) -> Vec<Regression> {
     current
         .gated
         .iter()
+        .chain(&current.informational)
         .filter_map(|(metric, value)| {
             let floor = floor_of(metric)?;
             (*value < floor).then(|| Regression {
@@ -908,6 +920,30 @@ mod tests {
         // DGRN has no floor: a sub-parity DGRN entry adds no violation.
         t.gated.push(("engine/DGRN/100/speedup".into(), 0.5));
         assert_eq!(floor_violations(&t).len(), 1);
+    }
+
+    #[test]
+    fn muun_rate_floor_catches_a_quadratic_admission() {
+        let mut t = trajectory();
+        assert!(floor_violations(&t).is_empty());
+        // The floor reads the informational rate; the relative gate never
+        // sees it.
+        t.informational
+            .push(("engine/MUUN/100000/engine_slots_per_sec".into(), 10.6));
+        assert!(floor_violations(&t).is_empty());
+        t.informational.last_mut().expect("just pushed").1 = 0.2;
+        let found = floor_violations(&t);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].metric, "engine/MUUN/100000/engine_slots_per_sec");
+        assert_eq!(found[0].baseline, 2.0);
+        assert_eq!(found[0].current, 0.2);
+        // Only the 100k-user tier carries the rate floor.
+        t.informational
+            .push(("engine/MUUN/2000/engine_slots_per_sec".into(), 0.5));
+        t.informational
+            .push(("engine/DGRN/100000/engine_slots_per_sec".into(), 0.5));
+        assert_eq!(floor_violations(&t).len(), 1);
+        assert!(compare(&t, &trajectory(), DEFAULT_TOLERANCE).is_empty());
     }
 
     #[test]

@@ -304,6 +304,11 @@ pub struct Engine<'g> {
     profile: Profile,
     /// `Σ α_i` over the current participants of each task.
     alpha_sum: Vec<f64>,
+    /// `[share(k, n_k), share(k, n_k + 1)]` at each task's current count
+    /// `n_k`: the only two shares a best-response scan reads, side by side,
+    /// so a scan costs one memory access per task instead of a count, a
+    /// segment and a table read. Rewritten wherever a count changes.
+    live_shares: Vec<[f64; 2]>,
     phi: CompensatedSum,
     total: CompensatedSum,
     dirty_flag: Vec<bool>,
@@ -405,6 +410,11 @@ impl<'g> Engine<'g> {
         }
         let row_lens: Vec<usize> = coverage.iter().map(|&c| c as usize).collect();
         let task_users = SegmentedSlab::from_filled(index_data, &row_lens);
+        let live_shares = game
+            .tasks()
+            .iter()
+            .map(|t| live_share(&tables, t.id, profile.participants(t.id)))
+            .collect();
         let mut engine = Self {
             game,
             tables,
@@ -416,6 +426,7 @@ impl<'g> Engine<'g> {
             task_users,
             profile,
             alpha_sum,
+            live_shares,
             phi: CompensatedSum::default(),
             total: CompensatedSum::default(),
             dirty_flag: vec![true; n_users],
@@ -598,6 +609,7 @@ impl<'g> Engine<'g> {
             task_users,
             profile,
             alpha_sum,
+            live_shares,
             phi,
             total,
             dirty_flag,
@@ -653,6 +665,7 @@ impl<'g> Engine<'g> {
         phi.add(phi_delta);
         total.add(profit_delta);
         profile.apply_move_tasks(user, new_route, old, new);
+        refresh_live_shares(live_shares, tables, profile, old.iter().chain(new));
         mark(dirty_flag, dirty, user);
         if !emit {
             return old_route;
@@ -727,12 +740,14 @@ impl<'g> Engine<'g> {
         profit_delta: f64,
     ) {
         let Self {
+            tables,
             route_tasks,
             route_base,
             alpha: alpha_cache,
             task_users,
             profile,
             alpha_sum,
+            live_shares,
             phi,
             total,
             dirty_flag,
@@ -770,6 +785,7 @@ impl<'g> Engine<'g> {
         phi.add(phi_delta);
         total.add(profit_delta);
         profile.apply_move_tasks(user, new_route, old, new);
+        refresh_live_shares(live_shares, tables, profile, old.iter().chain(new));
         mark(dirty_flag, dirty, user);
         obs.emit(|| Event::MoveCommitted {
             user: user.index() as u32,
@@ -907,6 +923,7 @@ impl<'g> Engine<'g> {
             task_users,
             profile,
             alpha_sum,
+            live_shares,
             phi,
             total,
             dirty_flag,
@@ -976,6 +993,9 @@ impl<'g> Engine<'g> {
         phi.add(phi_delta);
         total.add(profit_delta);
         profile.add_route_counts(route_row);
+        // The covered tasks' tables grew too; their live shares are re-read
+        // along with the counts the initial route raised.
+        refresh_live_shares(live_shares, tables, profile, &covered);
         mark(dirty_flag, dirty, user);
         obs.emit(|| Event::UserJoined {
             user: user.index() as u32,
@@ -1011,6 +1031,7 @@ impl<'g> Engine<'g> {
             task_users,
             profile,
             alpha_sum,
+            live_shares,
             phi,
             total,
             dirty_flag,
@@ -1045,6 +1066,7 @@ impl<'g> Engine<'g> {
         phi.add(phi_delta);
         total.add(profit_delta);
         profile.remove_route_counts(route_row);
+        refresh_live_shares(live_shares, tables, profile, route_row);
         active[i] = false;
         *n_active -= 1;
         obs.emit(|| Event::UserLeft {
@@ -1110,9 +1132,10 @@ impl<'g> Engine<'g> {
     /// [`crate::response::best_route_set`].
     ///
     /// This is the hot-path specialization of the generic scan: the current
-    /// route's task row, the cost row and the participant-count slice are
-    /// hoisted out of the per-candidate loop (the [`ProfitView`] methods
-    /// re-derive them per call), while the arithmetic — per-task share
+    /// route's task row and the cost row are hoisted out of the
+    /// per-candidate loop (the [`ProfitView`] methods re-derive them per
+    /// call) and each task's share at `n` or `n + 1` is one read of its live
+    /// shares, while the arithmetic — per-task share
     /// summation order, `α_i·reward − cost` — and the EPSILON tie rules are
     /// replicated exactly, so results match [`best_route_set_in`] bit for
     /// bit (test-enforced).
@@ -1136,12 +1159,12 @@ impl<'g> Engine<'g> {
         let n_routes = (self.route_base[i + 1] - self.route_base[i]) as usize;
         let choice = self.profile.choice(user).index();
         let costs = self.route_cost.row(i);
-        let counts = self.profile.participant_counts();
+        let live = &self.live_shares;
         let alpha = self.alpha[i];
         let cur_row = self.route_tasks.row(base + choice);
         let mut reward = 0.0;
         for &task in cur_row {
-            reward += self.tables.share(task, counts[task.index()]);
+            reward += live[task.index()][0];
         }
         let current_profit = alpha * reward - costs[choice];
         let mut stack_buf = [0.0f64; 16];
@@ -1160,9 +1183,9 @@ impl<'g> Engine<'g> {
                 let cand = self.route_tasks.row(base + r);
                 let mut reward = 0.0;
                 for &task in cand {
-                    let n = counts[task.index()];
-                    let n_after = if cur_row.contains(&task) { n } else { n + 1 };
-                    reward += self.tables.share(task, n_after);
+                    // Share at n if the task is already on the current
+                    // route, else at n + 1.
+                    reward += live[task.index()][usize::from(!cur_row.contains(&task))];
                 }
                 alpha * reward - costs[r]
             };
@@ -1226,6 +1249,24 @@ fn batch_conflict_free(engine: &Engine<'_>, moves: &[(UserId, RouteId)]) -> bool
         seen_tasks.extend(mine);
     }
     true
+}
+
+/// The [`Engine`] `live_shares` entry of `task` at participant count `n`.
+#[inline]
+fn live_share(tables: &ShareTables, task: TaskId, n: u32) -> [f64; 2] {
+    [tables.share(task, n), tables.share(task, n + 1)]
+}
+
+/// Re-reads the live shares of `tasks` after their counts changed.
+fn refresh_live_shares<'a>(
+    live_shares: &mut [[f64; 2]],
+    tables: &ShareTables,
+    profile: &Profile,
+    tasks: impl IntoIterator<Item = &'a TaskId>,
+) {
+    for &task in tasks {
+        live_shares[task.index()] = live_share(tables, task, profile.participants(task));
+    }
 }
 
 /// Marks `user` dirty. Free function over the split-off dirty fields so the
@@ -1351,6 +1392,54 @@ mod tests {
                 assert_eq!(tables.potential_term(task.id, n), task.potential_term(n));
             }
         }
+    }
+
+    /// Every task's live shares equal the table shares at its current count.
+    fn assert_live_shares_fresh(engine: &Engine<'_>) {
+        for task in engine.game().tasks() {
+            let n = engine.profile().participants(task.id);
+            assert_eq!(
+                engine.live_shares[task.id.index()],
+                [task.share(n), task.share(n + 1)],
+                "live shares of {} at count {n}",
+                task.id
+            );
+        }
+    }
+
+    #[test]
+    fn live_shares_track_every_count_change() {
+        let g = game();
+        let mut engine = Engine::new(&g, Profile::all_first(&g));
+        assert_live_shares_fresh(&engine);
+        engine.apply_move(UserId(0), RouteId(1));
+        assert_live_shares_fresh(&engine);
+        // Batches with one effective move (the other is a no-op, which
+        // touches no task) on the parallel path, where a second worker
+        // exists, and on the sequential one.
+        engine.apply_batch_with_threshold(&[(UserId(2), RouteId(1)), (UserId(0), RouteId(1))], 0);
+        assert_live_shares_fresh(&engine);
+        engine.apply_batch_with_threshold(
+            &[(UserId(2), RouteId(0)), (UserId(1), RouteId(0))],
+            usize::MAX,
+        );
+        assert_live_shares_fresh(&engine);
+        let joined = engine
+            .add_user(
+                UserPrefs::new(0.6, 0.4, 0.3),
+                vec![
+                    Route::new(RouteId(0), vec![TaskId(0), TaskId(2)], 0.5, 1.0),
+                    Route::new(RouteId(1), vec![TaskId(1)], 2.0, 0.0),
+                ],
+                RouteId(0),
+            )
+            .unwrap();
+        assert_live_shares_fresh(&engine);
+        engine.apply_move(joined, RouteId(1));
+        assert_live_shares_fresh(&engine);
+        engine.remove_user(UserId(1)).unwrap();
+        assert_live_shares_fresh(&engine);
+        assert_matches_materialized(&engine);
     }
 
     #[test]
@@ -1606,6 +1695,12 @@ mod tests {
                 engine.profile().participants(task.id),
                 fresh.profile().participants(task.id),
                 "count of {}",
+                task.id
+            );
+            assert_eq!(
+                engine.live_shares[task.id.index()],
+                fresh.live_shares[task.id.index()],
+                "live shares of {}",
                 task.id
             );
         }

@@ -116,11 +116,11 @@ pub fn http_get(
     let mut stream = connect_with_backoff(addr, 5, Duration::from_millis(20))?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: vcs\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
+    // One write for the whole request: `write!` on a raw stream issues a
+    // syscall per format fragment, and a peer that reads the head once and
+    // closes would reset the connection on the unread remainder.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: vcs\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     let (head, body) = response.split_once("\r\n\r\n").ok_or_else(|| {
@@ -191,18 +191,24 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
+            // Read the whole request head, however the client's bytes are
+            // split into segments.
+            let mut head = Vec::new();
             let mut buf = [0u8; 512];
-            let n = conn.read(&mut buf).unwrap();
-            assert!(std::str::from_utf8(&buf[..n])
+            while !head.ends_with(b"\r\n\r\n") {
+                let n = conn.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed before the end of its request");
+                head.extend_from_slice(&buf[..n]);
+            }
+            assert!(std::str::from_utf8(&head)
                 .unwrap()
                 .starts_with("GET /metrics "));
             let body = "vcs_ok 1\n";
-            write!(
-                conn,
+            let reply = format!(
                 "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
                 body.len()
-            )
-            .unwrap();
+            );
+            conn.write_all(reply.as_bytes()).unwrap();
         });
         let (status, body) = http_get(addr, "/metrics", Duration::from_secs(2)).unwrap();
         assert_eq!(status, "HTTP/1.1 200 OK");
